@@ -183,7 +183,8 @@ class Firmware:
         self._wire_buttons()
         self._rebuild_islands()
 
-        period = self.config.firmware_period_s
+        period = self._period_s = self.config.firmware_period_s
+        self._tick_cycles = sum(cycles for _, cycles in self._tick_stages())
         self._main_task = PeriodicTask(self._sim, period, self._tick, phase=period)
         self._render_task = PeriodicTask(
             self._sim,
@@ -426,7 +427,8 @@ class Firmware:
             return
         board = self.board
         now = self._sim.now
-        self._service_faults(now)
+        if board.fault_plan is not None:
+            self._service_faults(now)
         if board.battery.browned_out:
             plan = board.fault_plan
             if plan is not None and (
@@ -455,22 +457,20 @@ class Firmware:
 
         for button in board.buttons.values():
             button.poll(now)
-            mcu.execute(_COST_BUTTON_POLL)
 
-        self.raw_code = board.adc.sample(now, ADC_CHANNEL_DISTANCE)
-        mcu.execute(_COST_ADC_SAMPLE)
-        self.filtered_code = int(round(self._filter.update(self.raw_code)))
-        mcu.execute(_COST_FILTER_PER_SAMPLE * self.config.smoothing_window)
+        raw_code = self.raw_code = board.adc.sample(now, ADC_CHANNEL_DISTANCE)
+        filtered_code = self.filtered_code = round(self._filter.update(raw_code))
 
         if self._fusion is not None:
             spare_code = board.adc.sample(now, ADC_CHANNEL_DISTANCE_SPARE)
-            mcu.execute(_COST_ADC_SAMPLE + _COST_FUSION)
-            self._process_code_fused(self.filtered_code, spare_code, now)
+            self._process_code_fused(filtered_code, spare_code, now)
         else:
-            self._process_code(self.filtered_code, now)
-        mcu.execute(_COST_ISLAND_LOOKUP)
+            self._process_code(filtered_code, now)
+        # The stage costs are fixed after construction, so the tick's
+        # whole cycle budget is charged in one go.
+        mcu.execute(self._tick_cycles)
 
-        period = self.config.firmware_period_s
+        period = self._period_s
         mcu.consume_power(period)
         board.battery.draw(_DISPLAY_CURRENT_MA, period)
         if self._obs is not None:
@@ -503,6 +503,17 @@ class Firmware:
         tick_hist.observe(total_f)
         battery_gauge.set(self.board.battery.terminal_voltage(), now)
 
+    def _tick_stages(self) -> tuple[tuple[str, int], ...]:
+        """``(stage, instruction cycles)`` of one main-loop tick."""
+        fused = self._fusion is not None
+        return (
+            ("buttons", _COST_BUTTON_POLL * len(self.board.buttons)),
+            ("adc", _COST_ADC_SAMPLE * (2 if fused else 1)),
+            ("filter", _COST_FILTER_PER_SAMPLE * self.config.smoothing_window),
+            ("fusion", _COST_FUSION if fused else 0),
+            ("island-lookup", _COST_ISLAND_LOOKUP),
+        )
+
     def _build_tick_obs_plan(self, obs: Recorder) -> "_TickObsPlan":
         """Precompute the per-stage span names, durations and instruments.
 
@@ -513,18 +524,10 @@ class Firmware:
         per tick with the same ``cursor + duration`` op sequence as the
         unrolled loop, keeping exported trace bytes identical.
         """
-        fused = self._fusion is not None
-        stages = (
-            ("buttons", _COST_BUTTON_POLL * len(self.board.buttons)),
-            ("adc", _COST_ADC_SAMPLE * (2 if fused else 1)),
-            ("filter", _COST_FILTER_PER_SAMPLE * self.config.smoothing_window),
-            ("fusion", _COST_FUSION if fused else 0),
-            ("island-lookup", _COST_ISLAND_LOOKUP),
-        )
         mips = self.board.mcu.params.mips
         rows: list[_TickObsStage] = []
         total = 0
-        for stage, cycles in stages:
+        for stage, cycles in self._tick_stages():
             if cycles == 0:
                 continue
             total += cycles
@@ -606,10 +609,10 @@ class Firmware:
         # the highlight moves.  (The GP2D120 holds its output for ~38 ms,
         # so counting firmware ticks would double-count one measurement —
         # the confirmation window is expressed in sensor-cycle time.)
-        if slot != getattr(self, "_confirmed_slot", None):
+        if slot != self._confirmed_slot:
             cycle = self.board.distance_sensor.params.cycle_time_s
             needed = self.config.confirm_samples * cycle
-            if slot != getattr(self, "_candidate_slot", None):
+            if slot != self._candidate_slot:
                 self._candidate_slot = slot
                 self._candidate_since = now
             if now - self._candidate_since < needed - 1e-9:

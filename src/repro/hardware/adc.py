@@ -13,6 +13,7 @@ for the firmware's cycle budget accounting).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -167,11 +168,19 @@ class ADC:
         return np.clip(np.round(codes), 0, params.max_code).astype(np.int64)
 
     def _quantize(self, voltage: float) -> int:
+        # Runs once per conversion on the scalar device path, so it uses
+        # branchy clamps and ``math.sin`` instead of numpy scalar ufuncs:
+        # the same IEEE-754 operations, without ``np.clip`` building
+        # ``getlimits`` objects on every call.  NaN still raises
+        # ``ValueError`` and ±inf ``OverflowError`` at ``round``.
         params = self.params
+        max_code = params.max_code
         fraction = voltage / params.v_ref
-        code = fraction * (params.max_code + 1)
+        code = fraction * (max_code + 1)
         # Integral non-linearity: a half-sine bow peaking mid-scale.
-        code += params.inl_lsb * np.sin(np.pi * np.clip(fraction, 0.0, 1.0))
+        bow = 0.0 if fraction < 0.0 else 1.0 if fraction > 1.0 else fraction
+        code += params.inl_lsb * math.sin(math.pi * bow)
         if self.rng is not None:
             code += self.rng.normal(0.0, params.noise_lsb_rms)
-        return int(np.clip(round(code), 0, params.max_code))
+        rounded = round(code)
+        return 0 if rounded < 0 else max_code if rounded > max_code else rounded

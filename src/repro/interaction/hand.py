@@ -132,8 +132,12 @@ class Hand:
             voluntary = self._rest_cm
         else:
             tau = (self._sim.now - self._move_start) / self._move_duration
-            s = minimum_jerk(tau)
-            voluntary = self._move_from + (self._move_to - self._move_from) * s
+            span = self._move_to - self._move_from
+            # Past the end of a reach minimum_jerk() is exactly 1.0, and
+            # ``span * 1.0 == span``: skip the polynomial while at rest.
+            voluntary = self._move_from + (
+                span if tau >= 1.0 else span * minimum_jerk(tau)
+            )
         if include_tremor:
             return voluntary + self._tremor_state
         return voluntary
@@ -150,11 +154,15 @@ class Hand:
         position = self.position()
         travel = abs(position - self._last_position)
         self.total_path_cm += travel
-        extension = max(position - self._relaxed_cm, 0.0) / self._relaxed_cm
-        holding_cost = (0.25 + extension) * self._update_period
+        # Conditional clamps: builtin max() semantics (ties and NaN keep
+        # the first argument) without the call, at 120 updates per second.
+        extension = position - self._relaxed_cm
+        if extension < 0.0:
+            extension = 0.0
+        holding_cost = (0.25 + extension / self._relaxed_cm) * self._update_period
         self.fatigue_units += holding_cost + 0.06 * travel
         self._last_position = position
-        self._write_pose(max(position, 0.5))
+        self._write_pose(0.5 if position < 0.5 else position)
 
     def _advance_tremor(self) -> None:
         if self._rng is None or self.tremor_rms_cm <= 0.0:

@@ -8,7 +8,9 @@ hyperbola
     V(d) = a / (d + b) + c
 
 which is linear in ``a`` and ``c`` for fixed ``b``; we solve the inner linear
-problem exactly and search ``b`` with scipy.
+problem exactly and search ``b`` with scipy.  scipy is imported inside
+:func:`fit_hyperbola`, the one function that needs it, so importing the
+package (``import repro.cli``) does not pay for ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "HyperbolicFit",
@@ -124,6 +125,8 @@ def fit_hyperbola(
         raise ValueError("distances and voltages must have the same shape")
     if distances.size < 3:
         raise ValueError("need at least 3 samples to fit three parameters")
+
+    from scipy import optimize
 
     lo = max(b_bounds[0], -float(distances.min()) + 1e-3)
     hi = b_bounds[1]

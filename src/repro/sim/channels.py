@@ -23,7 +23,6 @@ __all__ = [
     "SPANS",
     "METRICS",
     "CHANNELS",
-    "is_registered",
 ]
 
 #: Interaction events emitted by the firmware (one record per
@@ -50,8 +49,3 @@ METRICS = "metrics"
 CHANNELS: frozenset[str] = frozenset(
     {EVENTS, FAULTS, FAULT_RECOVERY, SPANS, METRICS}
 )
-
-
-def is_registered(name: str) -> bool:
-    """Whether ``name`` is a declared trace channel."""
-    return name in CHANNELS

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
 import numpy as np
@@ -331,7 +332,8 @@ class Simulator:
             if entry[3].cancelled:
                 entry[3]._cancel_hook = None
         before = len(self._queue)
-        self._queue = [
+        # In place: the dispatch loop holds a reference to this list.
+        self._queue[:] = [
             entry for entry in self._queue if not entry[3].cancelled
         ]
         heapq.heapify(self._queue)
@@ -345,26 +347,52 @@ class Simulator:
                 high=1e6,
             )
 
+    def _dispatch(
+        self,
+        end_time: float = math.inf,
+        limit: int = -1,
+        condition: Optional[Callable[[], bool]] = None,
+    ) -> int:
+        """The kernel's one event loop; returns how many events ran.
+
+        Runs live events in ``(time, priority, seq)`` order until the
+        queue drains, the next live event lies after ``end_time``,
+        ``limit`` events have run (``-1``: no limit) or ``condition()``
+        — checked before each event, ahead of any cancelled-head
+        cleanup — turns false.  :meth:`step`, :meth:`run`,
+        :meth:`run_until` and :meth:`run_while` are all this loop with
+        different stops, so per-event dispatch is written once.
+        """
+        global _global_event_count
+        queue = self._queue  # _compact() rebuilds it in place
+        heappop = heapq.heappop
+        executed = 0
+        while executed != limit:
+            if condition is not None and not condition():
+                break
+            # Discard cancelled heads before peeking at the time, so a
+            # dead head can never let a live event past end_time run.
+            while queue and queue[0][3].cancelled:
+                self._discard(heappop(queue)[3])
+            if not queue or queue[0][0] > end_time:
+                break
+            time, _, _, event = heappop(queue)
+            event._cancel_hook = None
+            self._now = time
+            self._event_count += 1
+            _global_event_count += 1
+            executed += 1
+            if self._obs_events is not None:
+                self._obs_events.inc()
+            event.callback()
+        return executed
+
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
-        global _global_event_count
-        while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                self._discard(event)
-                continue
-            event._cancel_hook = None
-            self._now = event.time
-            self._event_count += 1
-            _global_event_count += 1
-            if self._obs_events is not None:
-                self._obs_events.inc()
-            event.callback()
-            return True
-        return False
+        return self._dispatch(limit=1) == 1
 
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``, then set the clock.
@@ -375,15 +403,7 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) is before now ({self._now})"
             )
-        while self._queue:
-            head = self._queue[0][3]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                self._discard(head)
-                continue
-            if head.time > end_time:
-                break
-            self.step()
+        self._dispatch(end_time)
         self._now = end_time
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -404,12 +424,10 @@ class Simulator:
                 "queue is empty — schedule new events before calling run() "
                 "again, or create a fresh Simulator for a new run"
             )
-        executed = 0
-        while self.step():
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                return
-        self._finished = True
+        # Any budget runs at least one event, as it always has.
+        limit = -1 if max_events is None else max(max_events, 1)
+        if self._dispatch(limit=limit) != limit:
+            self._finished = True
 
     def run_while(self, condition: Callable[[], bool], max_time: float) -> None:
         """Run while ``condition()`` holds, but never past ``max_time``.
@@ -418,15 +436,7 @@ class Simulator:
         No event later than ``max_time`` ever executes, even when cancelled
         events sit at the head of the queue.
         """
-        while condition():
-            # Discard cancelled heads first: peeking a cancelled event's
-            # time and then calling step() would execute the next *live*
-            # event, which may lie past max_time.
-            while self._queue and self._queue[0][3].cancelled:
-                self._discard(heapq.heappop(self._queue)[3])
-            if not self._queue or self._queue[0][0] > max_time:
-                break
-            self.step()
+        self._dispatch(max_time, condition=condition)
         if not condition():
             return
         self._now = max(self._now, max_time)

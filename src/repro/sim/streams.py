@@ -32,7 +32,6 @@ __all__ = [
     "SHARD_STREAM",
     "ARENA_STREAM",
     "STREAM_DOMAINS",
-    "is_registered_domain",
 ]
 
 #: Per-user persona derivation (`repro.interaction.personas`): one
@@ -76,8 +75,3 @@ STREAM_DOMAINS: dict[int, str] = {
     SHARD_STREAM: "SHARD_STREAM",
     ARENA_STREAM: "ARENA_STREAM",
 }
-
-
-def is_registered_domain(value: int) -> bool:
-    """Whether ``value`` is a declared spawn-key stream domain."""
-    return value in STREAM_DOMAINS

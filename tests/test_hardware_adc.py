@@ -88,3 +88,68 @@ class TestADCNonIdealities:
         adc.attach(0, lambda t: v)
         code = adc.sample(0.0, 0)
         assert 0 <= code <= adc.params.max_code
+
+
+def _numpy_quantize(adc: ADC, voltage: float) -> int:
+    """The conversion formula as first written, on numpy scalar ufuncs.
+
+    ``ADC._quantize`` now uses branchy clamps and ``math.sin`` on the
+    per-sample hot path; this copy is the oracle it must match bit for
+    bit, noise draws included.
+    """
+    params = adc.params
+    fraction = voltage / params.v_ref
+    code = fraction * (params.max_code + 1)
+    code += params.inl_lsb * np.sin(np.pi * np.clip(fraction, 0.0, 1.0))
+    if adc.rng is not None:
+        code += adc.rng.normal(0.0, params.noise_lsb_rms)
+    return int(np.clip(round(code), 0, params.max_code))
+
+
+_VOLTS = st.one_of(
+    st.floats(min_value=-1e3, max_value=0.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    st.floats(min_value=5.0, max_value=1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5.0, 2.5, 5.0 - 1e-12, 5e-324]),
+)
+
+
+class TestQuantizeMatchesNumpyFormula:
+    @given(
+        volts=st.lists(_VOLTS, min_size=1, max_size=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        inl=st.sampled_from([0.0, 0.5, 1.0, 3.7]),
+        noisy=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_codes_and_noise_stream_match(self, volts, seed, inl, noisy):
+        params = ADCParams(inl_lsb=inl)
+        adc = ADC(params, rng=np.random.default_rng(seed) if noisy else None)
+        oracle = ADC(
+            params, rng=np.random.default_rng(seed) if noisy else None
+        )
+        feed = iter(volts)
+        adc.attach(0, lambda t: next(feed))
+        for v in volts:
+            code = adc.sample(0.0, 0)
+            assert type(code) is int
+            assert code == _numpy_quantize(oracle, v)
+        if noisy:
+            assert (
+                adc.rng.bit_generator.state == oracle.rng.bit_generator.state
+            )
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_nan_source_raises_value_error(self, noisy):
+        adc = ADC(rng=np.random.default_rng(0) if noisy else None)
+        adc.attach(0, lambda t: float("nan"))
+        with pytest.raises(ValueError):
+            adc.sample(0.0, 0)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("volts", [float("inf"), float("-inf")])
+    def test_infinite_source_raises_overflow_error(self, volts, noisy):
+        adc = ADC(rng=np.random.default_rng(0) if noisy else None)
+        adc.attach(0, lambda t: volts)
+        with pytest.raises(OverflowError):
+            adc.sample(0.0, 0)

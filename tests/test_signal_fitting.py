@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.signal.fitting import fit_hyperbola, fit_power_law, r_squared
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported by fit_hyperbola alone, not at package import:
+    a fresh interpreter importing the CLI must not load it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestRSquared:

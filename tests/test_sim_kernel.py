@@ -534,6 +534,96 @@ class TestQueueCompaction:
         assert run_churn() == baseline
 
 
+    def test_compaction_inside_a_running_loop(self):
+        """A callback whose schedule() triggers compaction mid-dispatch:
+        the loop keeps serving the rebuilt queue, so events pushed after
+        the purge still run and no corpse ever fires."""
+        sim = Simulator(seed=0)
+        fired = []
+        doomed = [
+            sim.schedule(2.0 + i * 0.01, lambda: fired.append("corpse"))
+            for i in range(100)
+        ]
+
+        def pushed():
+            fired.append("pushed")
+            sim.schedule(0.5, lambda: fired.append("after"))
+
+        def purge_and_push():
+            for event in doomed:
+                event.cancel()
+            sim.schedule(1.0, pushed)
+            assert sim._cancelled_in_queue == 0  # compaction ran
+
+        sim.schedule(1.0, purge_and_push)
+        sim.schedule(3.0, lambda: fired.append("tail"))
+        sim.run_until(10.0)
+        assert fired == ["pushed", "after", "tail"]
+        assert sim._cancelled_in_queue == 0
+
+
+class TestOneDispatchLoop:
+    """step, run, run_until and run_while share one event loop."""
+
+    def _counting(self, sim, n):
+        fired = []
+        for i in range(n):
+            sim.schedule(0.1 * (i + 1), lambda i=i: fired.append(i))
+        return fired
+
+    def test_step_runs_exactly_one_live_event(self, sim):
+        fired = self._counting(sim, 3)
+        sim.schedule(0.05, lambda: fired.append("x")).cancel()
+        assert sim.step()
+        assert fired == [0]
+        assert sim.events_processed == 1
+        assert sim.step() and sim.step()
+        assert not sim.step()
+        assert fired == [0, 1, 2]
+
+    def test_run_zero_budget_still_runs_one_event(self, sim):
+        fired = self._counting(sim, 3)
+        sim.run(max_events=0)
+        assert fired == [0]
+        assert not sim.finished
+
+    def test_run_budget_equal_to_queue_is_not_finished(self, sim):
+        fired = self._counting(sim, 3)
+        sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        assert not sim.finished
+        sim.run()
+        assert sim.finished
+
+    def test_run_while_checks_condition_once_per_event(self, sim):
+        """Condition calls: one before each event, one that lets the
+        loop find the deadline, and run_while's final check."""
+        self._counting(sim, 5)
+        calls = []
+
+        def condition():
+            calls.append(sim.now)
+            return True
+
+        sim.run_while(condition, max_time=0.35)
+        assert sim.events_processed == 3
+        assert len(calls) == 3 + 2
+        assert sim.now == 0.35
+
+    def test_callback_error_leaves_counts_consistent(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(0.1, boom)
+        sim.schedule(0.2, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run_until(1.0)
+        assert sim.events_processed == 1
+        assert sim.now == 0.1
+        sim.run_until(1.0)
+        assert sim.events_processed == 2
+
+
 class TestSpawnPooling:
     def test_spawned_streams_match_unpooled_seedsequence(self):
         """Pool refills use SeedSequence.spawn(n), which numpy guarantees

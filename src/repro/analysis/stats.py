@@ -127,13 +127,6 @@ def linear_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 
-def _reject_nan(owner: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value):
-        raise ValueError(f"{owner}: NaN observation")
-    return value
-
-
 class StreamingMoments:
     """Online mean/variance with O(1) state and an exactly mergeable sum.
 
@@ -176,24 +169,38 @@ class StreamingMoments:
         self.max: Optional[float] = None
 
     def add(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        value = _reject_nan("StreamingMoments", value)
+        """Fold one observation into the running moments.
+
+        NaN raises ``ValueError`` and ±inf ``OverflowError`` (no exact
+        sum exists) before any state changes.  The population study
+        calls this ~20 times per participant, so the NaN test and the
+        running min/max are inline comparisons; they keep builtin
+        ``min``/``max`` semantics, where a tie (0.0 vs -0.0) keeps the
+        value seen first.
+        """
+        value = float(value)
+        if value != value:
+            raise ValueError("StreamingMoments: NaN observation")
         numerator, denominator = value.as_integer_ratio()
         scale = denominator.bit_length() - 1
         self.count += 1
-        if scale > self._shift:
-            self._sum_fp <<= scale - self._shift
-            self._shift = scale
-        self._sum_fp += numerator << (self._shift - scale)
+        shift = self._shift
+        if scale > shift:
+            self._sum_fp <<= scale - shift
+            self._shift = shift = scale
+        self._sum_fp += numerator << (shift - scale)
         sq_scale = 2 * scale
-        if sq_scale > self._sq_shift:
-            self._sumsq_fp <<= sq_scale - self._sq_shift
-            self._sq_shift = sq_scale
-        self._sumsq_fp += (numerator * numerator) << (
-            self._sq_shift - sq_scale
-        )
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        sq_shift = self._sq_shift
+        if sq_scale > sq_shift:
+            self._sumsq_fp <<= sq_scale - sq_shift
+            self._sq_shift = sq_shift = sq_scale
+        self._sumsq_fp += (numerator * numerator) << (sq_shift - sq_scale)
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
 
     @property
     def _sum(self) -> Fraction:
@@ -336,12 +343,22 @@ class QuantileSketch:
         return (self.low, self.high, self.bins_per_decade)
 
     def add(self, value: float) -> None:
-        """Record one observation."""
-        value = _reject_nan("QuantileSketch", value)
+        """Record one observation.
+
+        NaN raises ``ValueError``; ±inf lands in the overflow/underflow
+        bin.  Inline comparisons as in :meth:`StreamingMoments.add`.
+        """
+        value = float(value)
+        if value != value:
+            raise ValueError("QuantileSketch: NaN observation")
         self.counts[bisect.bisect_right(self._edges, value)] += 1
         self.count += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Combined sketch (bin specs must match; operands unchanged)."""

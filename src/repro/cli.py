@@ -92,6 +92,55 @@ EXPERIMENT_RUNNERS: dict[str, Callable[[int], ExperimentResult]] = {
 }
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= minimum``.
+
+    A value out of range is a usage error (exit 2, one line on stderr)
+    rather than a ``ValueError`` traceback from deep inside the run.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+#: ``--seed`` (numpy seeds are non-negative) and ``--jobs``/``--users``.
+_seed_arg = _int_at_least(0)
+_count_arg = _int_at_least(1)
+
+
+def _population_input_error(
+    personas: Optional[str], battery_name: Optional[str]
+) -> Optional[str]:
+    """One-line message for a malformed ``--personas`` or ``--battery``."""
+    from repro.interaction.personas import parse_spec
+    from repro.interaction.tasks import battery
+
+    checks: tuple[tuple[str, Callable[[str], object], Optional[str]], ...] = (
+        ("--personas", parse_spec, personas),
+        ("--battery", battery, battery_name),
+    )
+    for flag, check, value in checks:
+        if value is None:
+            continue
+        try:
+            check(value)
+        except ValueError as error:
+            return f"{flag}: {error}"
+    return None
+
+
 def _cmd_experiments(_args: argparse.Namespace) -> int:
     for experiment_id in EXPERIMENT_RUNNERS:
         print(experiment_id)
@@ -229,6 +278,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        message = _population_input_error(personas, battery_name)
+        if message is not None:
+            print(message, file=sys.stderr)
+            return 2
         from repro.runner import run_experiments
         from repro.runner.registry import arena_spec, scaled_user_study_spec
 
@@ -248,7 +301,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         results, _bench = run_experiments(
             [experiment_id],
             seed=args.seed,
-            jobs=max(1, args.jobs or 1),
+            jobs=args.jobs or 1,
             cache=cache,
             observe=trace_out is not None,
             overrides={experiment_id: spec},
@@ -266,7 +319,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         results, _bench = run_experiments(
             [experiment_id],
             seed=args.seed,
-            jobs=max(1, args.jobs or 1),
+            jobs=args.jobs or 1,
             cache=cache,
             observe=trace_out is not None,
             **options,
@@ -304,7 +357,7 @@ def _observed_result(
         )
         return None
     results, _bench = run_experiments(
-        [experiment_id], seed=seed, jobs=max(1, jobs), observe=True
+        [experiment_id], seed=seed, jobs=jobs, observe=True
     )
     return results[experiment_id]
 
@@ -418,7 +471,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     _results, bench = run_experiments(
         experiment_ids,
         seed=args.seed,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         cache=cache,
         csv_dir=args.csv_dir,
         bench_path=args.bench,
@@ -852,11 +905,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment_id")
-    run_parser.add_argument("--seed", type=int, default=0)
+    run_parser.add_argument("--seed", type=_seed_arg, default=0)
     run_parser.add_argument("--csv", default=None, help="also write CSV here")
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_count_arg,
         default=None,
         help="shard across N worker processes (same rows as serial)",
     )
@@ -870,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--users",
-        type=int,
+        type=_count_arg,
         default=None,
         metavar="N",
         help="STUDY1/ARENA: run the population-scale persona study (or "
@@ -898,9 +951,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run-all",
         help="run the experiment suite in parallel with result caching",
     )
-    run_all_parser.add_argument("--seed", type=int, default=0)
+    run_all_parser.add_argument("--seed", type=_seed_arg, default=0)
     run_all_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_count_arg, default=1, help="worker processes (default 1)"
     )
     _add_runner_v2_flags(run_all_parser)
     run_all_parser.add_argument(
@@ -934,11 +987,11 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate_parser = sub.add_parser(
         "calibrate", help="print the Figure-4 sensor sweep"
     )
-    calibrate_parser.add_argument("--seed", type=int, default=0)
+    calibrate_parser.add_argument("--seed", type=_seed_arg, default=0)
     calibrate_parser.set_defaults(func=_cmd_calibrate)
 
     demo_parser = sub.add_parser("demo", help="scripted device walk-through")
-    demo_parser.add_argument("--seed", type=int, default=0)
+    demo_parser.add_argument("--seed", type=_seed_arg, default=0)
     demo_parser.set_defaults(func=_cmd_demo)
 
     islands_parser = sub.add_parser(
@@ -1085,9 +1138,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment observed and summarize its sim-time spans",
     )
     trace_parser.add_argument("experiment_id")
-    trace_parser.add_argument("--seed", type=int, default=0)
+    trace_parser.add_argument("--seed", type=_seed_arg, default=0)
     trace_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_count_arg, default=1, help="worker processes (default 1)"
     )
     trace_parser.add_argument(
         "--out", default=None, metavar="PATH", help="also write a trace file"
@@ -1110,9 +1163,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="experiment id (omit for a scripted device session)",
     )
-    metrics_parser.add_argument("--seed", type=int, default=0)
+    metrics_parser.add_argument("--seed", type=_seed_arg, default=0)
     metrics_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_count_arg, default=1, help="worker processes (default 1)"
     )
     metrics_parser.add_argument(
         "--no-histograms",

@@ -261,13 +261,25 @@ class StudyAggregate:
             self.discovery_time.add(outcome.time_to_discovery_s)
             self.discovery_sketch.add(outcome.time_to_discovery_s)
         self.exploratory_sketch.add(float(outcome.exploratory_movements))
-        for index in range(len(self.segments)):
-            self.seg_errors[index].add(outcome.block_errors[index])
-            self.seg_times[index].add(outcome.block_times[index])
-            self.seg_subs[index].add(outcome.block_subs[index])
-            if outcome.block_errors[index] == 0:
-                self.seg_errorless[index] += 1
-            self.seg_time_sketch[index].add(outcome.block_times[index])
+        seg_errorless = self.seg_errorless
+        columns = zip(
+            self.seg_errors,
+            self.seg_times,
+            self.seg_subs,
+            self.seg_time_sketch,
+            outcome.block_errors,
+            outcome.block_times,
+            outcome.block_subs,
+        )
+        for index, (errors, times, subs, time_sketch, error, time, sub) in (
+            enumerate(columns)
+        ):
+            errors.add(error)
+            times.add(time)
+            subs.add(sub)
+            if error == 0:
+                seg_errorless[index] += 1
+            time_sketch.add(time)
         if cell is not None:
             self.cell_users.add(cell)
             # Fixed-order per-user sums over one outcome's block lists:
@@ -275,12 +287,12 @@ class StudyAggregate:
             # per-cell means they feed go through StreamingMoments.
             user_error = sum(outcome.block_errors) / len(self.segments)  # reprolint: allow REP007 (fixed segment order, single user)
             user_time = sum(outcome.block_times) / len(self.segments)  # reprolint: allow REP007 (fixed segment order, single user)
-            self.cell_errors.setdefault(cell, StreamingMoments()).add(
-                user_error
-            )
-            self.cell_times.setdefault(cell, StreamingMoments()).add(
-                user_time
-            )
+            cell_errors = self.cell_errors.get(cell)
+            if cell_errors is None:
+                cell_errors = self.cell_errors[cell] = StreamingMoments()
+                self.cell_times[cell] = StreamingMoments()
+            cell_errors.add(user_error)
+            self.cell_times[cell].add(user_time)
 
     def merge(self, other: "StudyAggregate") -> "StudyAggregate":
         """Combined aggregate (operands unchanged; segments must match)."""
@@ -479,17 +491,20 @@ def _fast_discovery(
     observed; low vision makes each observation less likely.
     """
     observe_p = 0.75 if persona.vision == "normal" else 0.55
+    normal = rng.standard_normal
+    uniform = rng.random
+    exp = math.exp
     needed = 3
     observed = 0
     movements = 0
     elapsed = 0.0
     while observed < needed and elapsed < 60.0:
         movements += 1
-        elapsed += 0.5 * float(rng.lognormal(0.0, 0.2)) + 0.15
-        elapsed += 0.20 * float(rng.lognormal(0.0, 0.1))
-        if rng.random() < observe_p:
+        elapsed += 0.5 * exp(0.2 * normal()) + 0.15
+        elapsed += 0.20 * exp(0.1 * normal())
+        if uniform() < observe_p:
             observed += 1
-            elapsed += 0.4 * float(rng.lognormal(0.0, 0.2))
+            elapsed += 0.4 * exp(0.2 * normal())
     return observed >= needed, elapsed, movements
 
 
@@ -506,6 +521,13 @@ def simulate_user_fast(
     long menus — but draws trial outcomes directly from the motor model
     instead of driving the event-kernel device.  ~10⁴× faster per
     participant, which is what makes million-user studies CPU-bound.
+
+    Every draw is one scalar call on the participant's stream, in model
+    order.  A ``lognormal(0, s)`` jitter is written ``exp(s * z)`` and
+    the magnitude of a ``normal(0, σ)`` endpoint ``abs(σ * z)``, with
+    ``z`` a standard normal: numpy's own formulas, bit-equal and draw
+    for draw (see ``docs/ARCHITECTURE.md``).  Profile fields and
+    per-scenario geometry are bound to locals outside the trial loops.
     """
     profile = persona.motor_profile(rng)
     glove = persona.glove_model()
@@ -522,6 +544,18 @@ def simulate_user_fast(
 
     discovered, discovery_time, movements = _fast_discovery(rng, persona)
 
+    normal = rng.standard_normal
+    uniform = rng.random
+    exp = math.exp
+    reaction = profile.reaction_time_s
+    perception = profile.perception_latency_s
+    verify_dwell = profile.verify_dwell_s
+    impulsivity = profile.impulsivity
+    fitts_a = profile.fitts_a
+    fitts_b = profile.fitts_b
+    sigma_frac = profile.endpoint_sigma_frac
+    practice_exponent = -profile.learning_rate * 3.0
+    mt_factor = glove.movement_time_factor
     span = _GEOMETRY.span_cm
     chunk = _GEOMETRY.chunk_size or 10
     practice = 0
@@ -532,81 +566,67 @@ def simulate_user_fast(
         n_slots = min(scenario.menu_entries, chunk)
         spacing = span / n_slots
         width = max(_GEOMETRY.island_fill * spacing, 0.2)
-        n_chunks = max(
+        half_width = width / 2.0
+        sigma_scale = sigma_frac * half_width
+        slip_distance = max(half_width, 0.05)
+        last_page = max(
             1, math.ceil(scenario.menu_entries / chunk)
-        )
+        ) - 1
+        error_recovery = scenario.error_recovery
         errors = 0
         total_time = 0.0
         total_subs = 0
         for index_distance in scenario_distances(scenario, rng):
-            uncertainty = 1.0 + 1.2 * (1.0 + practice) ** (
-                -profile.learning_rate * 3.0
-            )
-            sigma = profile.endpoint_sigma_frac * (width / 2.0) * uncertainty
-            trial_time = profile.reaction_time_s * float(
-                rng.lognormal(0.0, 0.15)
-            )
+            uncertainty = 1.0 + 1.2 * (1.0 + practice) ** practice_exponent
+            sigma = sigma_scale * uncertainty
+            trial_time = reaction * exp(0.15 * normal())
             subs = 0
             # Page switches toward the target's chunk (long menus).
-            page_steps = min(index_distance // chunk, n_chunks - 1)
+            page_steps = index_distance // chunk
+            if page_steps > last_page:
+                page_steps = last_page
             for _ in range(page_steps):
-                trial_time += profile.reaction_time_s * float(
-                    rng.lognormal(0.0, 0.15)
-                )
-                trial_time += press_time * float(rng.lognormal(0.0, 0.12))
-            if scenario.error_recovery:
+                trial_time += reaction * exp(0.15 * normal())
+                trial_time += press_time * exp(0.12 * normal())
+            if error_recovery:
                 # A deliberate wrong activation the participant must
                 # back out of: recovery cost lands in the times, not in
                 # the error rate (those count *unintended* activations).
-                trial_time += profile.reaction_time_s * float(
-                    rng.lognormal(0.0, 0.15)
-                )
-                trial_time += press_time * float(rng.lognormal(0.0, 0.12))
+                trial_time += reaction * exp(0.15 * normal())
+                trial_time += press_time * exp(0.12 * normal())
                 subs += 1
-            distance = max(
-                (index_distance % chunk) * spacing, 0.05
-            )
-            success = False
+            distance = (index_distance % chunk) * spacing
+            if distance < 0.05:
+                distance = 0.05
             for _attempt in range(12):
                 subs += 1
-                mt = movement_time(
-                    profile.fitts_a, profile.fitts_b, distance, width
-                )
-                mt *= glove.movement_time_factor
-                mt = max(mt * float(rng.lognormal(0.0, 0.08)), 0.12)
+                mt = movement_time(fitts_a, fitts_b, distance, width)
+                mt = mt * mt_factor * exp(0.08 * normal())
+                if mt < 0.12:
+                    mt = 0.12
                 trial_time += mt + 0.06
-                trial_time += profile.perception_latency_s * float(
-                    rng.lognormal(0.0, 0.1)
-                )
-                endpoint = float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-                if abs(endpoint) > width / 2.0:
+                trial_time += perception * exp(0.1 * normal())
+                # Only the endpoint's magnitude matters.
+                miss = abs(sigma * normal()) if sigma > 0 else 0.0
+                if miss > half_width:
                     # Wrong island: an impulsive user may still commit.
-                    if rng.random() < profile.impulsivity:
+                    if uniform() < impulsivity:
                         errors += 1
-                        trial_time += profile.reaction_time_s * float(
-                            rng.lognormal(0.0, 0.15)
-                        )
-                        trial_time += press_time * float(
-                            rng.lognormal(0.0, 0.12)
-                        )
-                    distance = max(abs(endpoint), 0.05)
+                        trial_time += reaction * exp(0.15 * normal())
+                        trial_time += press_time * exp(0.12 * normal())
+                    distance = 0.05 if miss < 0.05 else miss
                     continue
-                if rng.random() >= profile.impulsivity:
-                    trial_time += profile.verify_dwell_s * float(
-                        rng.lognormal(0.0, 0.2)
-                    )
-                    if rng.random() < slip_p:
-                        distance = max(width / 2.0, 0.05)
+                if uniform() >= impulsivity:
+                    trial_time += verify_dwell * exp(0.2 * normal())
+                    if uniform() < slip_p:
+                        distance = slip_distance
                         continue  # tremor pushed it off during the dwell
                 for _press in range(4):
-                    trial_time += press_time * float(
-                        rng.lognormal(0.0, 0.12)
-                    )
-                    if rng.random() >= miss_p:
+                    trial_time += press_time * exp(0.12 * normal())
+                    if uniform() >= miss_p:
                         break
-                success = True
                 break
-            if not success:
+            else:
                 errors += 1
             total_time += trial_time
             total_subs += subs

@@ -22,13 +22,15 @@ derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import cache
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.interaction.gloves import DEFAULT_GLOVE_WEIGHTS, Glove, resolve_glove
-from repro.interaction.user import MotorProfile
+from repro.interaction.user import MotorProfile, clamp
 
 # Stream-domain tags keeping the persona draw and the trial noise of
 # one participant on decorrelated SeedSequence branches; declared in the
@@ -90,6 +92,32 @@ PERSONA_DIMENSIONS: dict[str, dict[str, tuple[float, dict[str, float]]]] = {
 _TREMOR_SCALE = {"steady": 1.0, "tremor": 2.5, "low-dexterity": 1.2}
 
 
+@cache
+def _cell_factors(
+    age_band: str, motor: str, handedness: str, vision: str
+) -> tuple[tuple[tuple[str, float], ...], float]:
+    """Per-field product of one cell's dimension modifiers.
+
+    Returns the ``(field, factor)`` pairs other than ``learning_rate``
+    and, separately, the ``learning_rate`` factor (1.0 when no dimension
+    scales it), which :meth:`Persona.motor_profile` multiplies by the
+    persona's continuous ``learning_scale``.  Products are taken in
+    dimension declaration order, once per discrete cell.
+    """
+    factors: dict[str, float] = {}
+    for dimension, value in (
+        ("age_band", age_band),
+        ("motor", motor),
+        ("handedness", handedness),
+        ("vision", vision),
+    ):
+        _weight, modifiers = PERSONA_DIMENSIONS[dimension][value]
+        for field_name, factor in modifiers.items():
+            factors[field_name] = factors.get(field_name, 1.0) * factor
+    learning_factor = factors.pop("learning_rate", 1.0)
+    return tuple(factors.items()), learning_factor
+
+
 @dataclass(frozen=True)
 class Persona:
     """One participant cell of the simulated population."""
@@ -129,33 +157,20 @@ class Persona:
         by the product of this persona's dimension modifiers (clipping
         the bounded fields back into their valid ranges).
         """
-        base = MotorProfile.sample(rng)
-        factors: dict[str, float] = {}
-        for dimension, value in (
-            ("age_band", self.age_band),
-            ("motor", self.motor),
-            ("handedness", self.handedness),
-            ("vision", self.vision),
-        ):
-            _weight, modifiers = PERSONA_DIMENSIONS[dimension][value]
-            for field_name, factor in modifiers.items():
-                factors[field_name] = factors.get(field_name, 1.0) * factor
-        factors["learning_rate"] = (
-            factors.get("learning_rate", 1.0) * self.learning_scale
+        fields = MotorProfile.sample_fields(rng)
+        factors, learning_factor = _cell_factors(
+            self.age_band, self.motor, self.handedness, self.vision
         )
-        updates = {
-            name: getattr(base, name) * factor
-            for name, factor in factors.items()
-        }
-        if "learning_rate" in updates:
-            updates["learning_rate"] = float(
-                np.clip(updates["learning_rate"], 0.10, 0.70)
-            )
-        if "impulsivity" in updates:
-            updates["impulsivity"] = float(
-                np.clip(updates["impulsivity"], 0.0, 0.15)
-            )
-        return replace(base, **updates)
+        for name, factor in factors:
+            fields[name] *= factor
+        fields["learning_rate"] = clamp(
+            fields["learning_rate"] * (learning_factor * self.learning_scale),
+            0.10,
+            0.70,
+        )
+        # A no-op unless a modifier scaled it: the draw is already clipped.
+        fields["impulsivity"] = clamp(fields["impulsivity"], 0.0, 0.15)
+        return MotorProfile(**fields)
 
     def to_json(self) -> dict[str, Any]:
         """JSON-safe representation (golden-pin friendly)."""
@@ -327,7 +342,8 @@ def persona_for_user(
     handedness = _weighted_draw(rng, spec.handedness)
     vision = _weighted_draw(rng, spec.vision)
     glove = _weighted_draw(rng, spec.gloves)
-    learning_scale = float(np.clip(rng.lognormal(0.0, 0.25), 0.6, 1.6))
+    # lognormal(0, 0.25) as numpy computes it (see MotorProfile.sample_fields).
+    learning_scale = clamp(math.exp(0.25 * rng.standard_normal()), 0.6, 1.6)
     return Persona(
         age_band=age_band,
         motor=motor,

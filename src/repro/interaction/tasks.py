@@ -194,14 +194,15 @@ def scenario_distances(
     distance is at least 1 (a trial always requires real movement).
     """
     top = scenario.menu_entries - 1
-    distances: list[int] = []
-    for _ in range(scenario.n_trials):
-        if scenario.distance_profile == "near":
-            distance = 1 + int(rng.integers(0, min(3, top)))
-        elif scenario.distance_profile == "far":
-            low = max(1, (2 * top) // 3)
-            distance = low + int(rng.integers(0, top - low + 1))
-        else:  # mixed
-            distance = 1 + int(rng.integers(0, top))
-        distances.append(min(distance, top))
-    return distances
+    # One uniform draw per trial over [low, low + count), which never
+    # exceeds ``top``: near covers 1..min(3, top), far the top third,
+    # mixed 1..top.
+    if scenario.distance_profile == "near":
+        low, count = 1, min(3, top)
+    elif scenario.distance_profile == "far":
+        low = max(1, (2 * top) // 3)
+        count = top - low + 1
+    else:  # mixed
+        low, count = 1, top
+    integers = rng.integers
+    return [low + int(integers(0, count)) for _ in range(scenario.n_trials)]

@@ -22,6 +22,7 @@ perception–decision–action model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +34,21 @@ from repro.interaction.gloves import GLOVES, Glove
 from repro.interaction.hand import Hand
 
 __all__ = ["MotorProfile", "TrialResult", "DiscoveryResult", "SimulatedUser"]
+
+
+def clamp(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` for one Python float.
+
+    Returns ``value`` itself unless it lies strictly outside the bounds,
+    exactly as ``np.clip`` does on a scalar: NaN and a -0.0 at a 0.0
+    bound pass through unchanged.  A scalar ``np.clip`` costs about a
+    microsecond of array dispatch; this costs a comparison or two.
+    """
+    if value < low:
+        return low
+    if value > high:
+        return high
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,18 +93,31 @@ class MotorProfile:
     @classmethod
     def sample(cls, rng: np.random.Generator) -> "MotorProfile":
         """Draw an individual from the population distribution."""
-        jitter = lambda mean, rel: float(mean * rng.lognormal(0.0, rel))  # noqa: E731
-        return cls(
-            reaction_time_s=jitter(0.26, 0.15),
-            fitts_a=jitter(0.10, 0.2),
-            fitts_b=jitter(0.145, 0.15),
-            perception_latency_s=jitter(0.20, 0.1),
-            verify_dwell_s=jitter(0.22, 0.2),
-            button_press_s=jitter(0.16, 0.15),
-            endpoint_sigma_frac=jitter(0.27, 0.15),
-            impulsivity=float(np.clip(rng.normal(0.03, 0.02), 0.0, 0.15)),
-            learning_rate=float(np.clip(rng.normal(0.35, 0.08), 0.15, 0.6)),
-        )
+        return cls(**cls.sample_fields(rng))
+
+    @staticmethod
+    def sample_fields(rng: np.random.Generator) -> dict[str, float]:
+        """The field values :meth:`sample` draws, as keyword arguments.
+
+        Each field is ``mean * lognormal(0, rel)`` or a clipped
+        ``normal(mean, sd)``, written as numpy computes them from one
+        standard normal ``z`` — ``exp(rel * z)`` and ``mean + sd * z`` —
+        which is bit-equal and consumes the stream identically (see
+        ``docs/ARCHITECTURE.md``).  Key order is draw order.
+        """
+        normal = rng.standard_normal
+        exp = math.exp
+        return {
+            "reaction_time_s": 0.26 * exp(0.15 * normal()),
+            "fitts_a": 0.10 * exp(0.2 * normal()),
+            "fitts_b": 0.145 * exp(0.15 * normal()),
+            "perception_latency_s": 0.20 * exp(0.1 * normal()),
+            "verify_dwell_s": 0.22 * exp(0.2 * normal()),
+            "button_press_s": 0.16 * exp(0.15 * normal()),
+            "endpoint_sigma_frac": 0.27 * exp(0.15 * normal()),
+            "impulsivity": clamp(0.03 + 0.02 * normal(), 0.0, 0.15),
+            "learning_rate": clamp(0.35 + 0.08 * normal(), 0.15, 0.6),
+        }
 
 
 @dataclass

@@ -246,3 +246,76 @@ class TestRoundTrips:
         clone = CellCounter.from_snapshot(counter.snapshot())
         assert snapshot_bytes(clone) == snapshot_bytes(counter)
         assert clone.total() == len(keys)
+
+
+#: Values whose min/max ties differ only in the sign of zero.
+signed_zero_lists = st.lists(
+    st.sampled_from([0.0, -0.0, 1.5, -1.5]), min_size=1, max_size=20
+)
+
+
+class TestAddEdgeCases:
+    """``add()`` keeps its contract: NaN refused with the same message,
+    infinities handled as before, ties resolved like builtin min/max,
+    ints accepted."""
+
+    @pytest.mark.parametrize(
+        "make,owner",
+        [(StreamingMoments, "StreamingMoments"),
+         (lambda: QuantileSketch(1e-2, 1e4, 32), "QuantileSketch")],
+    )
+    def test_nan_raises_value_error_and_leaves_state(self, make, owner):
+        aggregate = make()
+        aggregate.add(2.5)
+        before = snapshot_bytes(aggregate)
+        with pytest.raises(ValueError, match=f"^{owner}: NaN observation$"):
+            aggregate.add(math.nan)
+        assert snapshot_bytes(aggregate) == before
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_moments_reject_infinity_with_overflow_error(self, value):
+        moments = moments_of([1.0, 2.0])
+        before = snapshot_bytes(moments)
+        with pytest.raises(OverflowError):
+            moments.add(value)
+        assert snapshot_bytes(moments) == before
+
+    def test_sketch_bins_infinities_at_the_ends(self):
+        sketch = QuantileSketch(1e-2, 1e4, 32)
+        sketch.add(math.inf)
+        assert sketch.counts[-1] == 1 and sketch.max == math.inf
+        sketch.add(-math.inf)
+        assert sketch.counts[0] == 1 and sketch.min == -math.inf
+        assert sketch.count == 2 and sum(sketch.counts) == 2
+
+    @given(signed_zero_lists)
+    def test_ties_keep_the_first_value_like_builtins(self, values):
+        for aggregate in (StreamingMoments(), QuantileSketch()):
+            for value in values:
+                aggregate.add(value)
+            assert repr(aggregate.min) == repr(min(values))
+            assert repr(aggregate.max) == repr(max(values))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_tie_keeps_first(self, first, second):
+        for aggregate in (StreamingMoments(), QuantileSketch()):
+            aggregate.add(first)
+            aggregate.add(second)
+            assert math.copysign(1.0, aggregate.min) == math.copysign(
+                1.0, first
+            )
+            assert math.copysign(1.0, aggregate.max) == math.copysign(
+                1.0, first
+            )
+
+    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6),
+                    min_size=1, max_size=30))
+    def test_int_inputs_match_their_float_values(self, values):
+        assert snapshot_bytes(moments_of(values)) == snapshot_bytes(
+            moments_of([float(v) for v in values])
+        )
+        sketch = sketch_of(values)
+        assert type(sketch.min) is float and type(sketch.max) is float
+        assert snapshot_bytes(sketch) == snapshot_bytes(
+            sketch_of([float(v) for v in values])
+        )

@@ -14,8 +14,8 @@ Commands
                            run one experiment and print its table;
                            ``--jobs N`` shards it across N worker
                            processes via the parallel runner and
-                           ``--backend`` picks the executor (inline,
-                           pool, workqueue).  For STUDY1, ``--users N``
+                           ``--backend`` picks the executor (inline
+                           or workqueue).  For STUDY1, ``--users N``
                            switches to the population-scale persona
                            study (streaming aggregation, O(1) memory,
                            byte-identical for any job count); for
@@ -33,7 +33,7 @@ Commands
           [--manifest PATH] [--no-cache] [--only ID,ID] [--seed N]
           [--csv-dir DIR] [--cache-dir DIR] [--bench PATH]``
                            run the whole suite through the parallel
-                           runner with the on-disk result cache, and
+                           runner with the on-disk shard cache, and
                            record per-experiment wall-clock and
                            events/second into ``BENCH_runner.json``
 ``calibrate [--seed N]``   print the Figure-4 sweep for one specimen
@@ -79,7 +79,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.experiments import ExperimentResult
-from repro.runner.registry import REGISTRY, build_runner
+from repro.runner.registry import REGISTRY, ExperimentSpec, build_runner
 
 __all__ = ["main", "EXPERIMENT_RUNNERS"]
 
@@ -209,8 +209,8 @@ def _runner_options(
         return None
     if crash_plan and backend != "workqueue":
         print(
-            "--inject-crash requires --backend workqueue (the other"
-            " backends cannot survive a worker loss)",
+            "--inject-crash requires --backend workqueue (the inline"
+            " backend cannot survive a worker loss)",
             file=sys.stderr,
         )
         return None
@@ -254,6 +254,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     options = _runner_options(args)
     if options is None:
         return 2
+    if options["resume"] and trace_out is not None:
+        print(
+            "--resume cannot be combined with --trace-out: observed runs"
+            " bypass the shard cache, so there is nothing to resume from",
+            file=sys.stderr,
+        )
+        return 2
     # Any runner-v2 flag forces the sharded path: the serial runner has
     # no backend, no shard cache and no manifest.
     sharded = any(value for value in options.values())
@@ -271,6 +278,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 / "manifests"
                 / f"{experiment_id}-seed{args.seed}.json"
             )
+    overrides: Optional[dict[str, ExperimentSpec]] = None
     if population:
         if experiment_id not in ("STUDY1", "ARENA"):
             print(
@@ -282,7 +290,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if message is not None:
             print(message, file=sys.stderr)
             return 2
-        from repro.runner import run_experiments
         from repro.runner.registry import arena_spec, scaled_user_study_spec
 
         if experiment_id == "ARENA":
@@ -298,32 +305,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 personas=personas or "full",
                 battery=battery_name or "scrolltest",
             )
-        results, _bench = run_experiments(
-            [experiment_id],
-            seed=args.seed,
-            jobs=args.jobs or 1,
-            cache=cache,
-            observe=trace_out is not None,
-            overrides={experiment_id: spec},
-            **options,
-        )
-        result = results[experiment_id]
-    elif args.jobs is None and trace_out is None and not sharded:
+        overrides = {experiment_id: spec}
+        sharded = True
+    if args.jobs is None and trace_out is None and not sharded:
         result = runner(args.seed)
     else:
         # --trace-out always routes through the sharded runner (even for
         # --jobs 1) so the observed payload takes the identical
         # shard/merge path for every job count.
         from repro.runner import run_experiments
+        from repro.runner.manifest import ResumeRefused
 
-        results, _bench = run_experiments(
-            [experiment_id],
-            seed=args.seed,
-            jobs=args.jobs or 1,
-            cache=cache,
-            observe=trace_out is not None,
-            **options,
-        )
+        try:
+            results, _bench = run_experiments(
+                [experiment_id],
+                seed=args.seed,
+                jobs=args.jobs or 1,
+                cache=cache,
+                observe=trace_out is not None,
+                overrides=overrides,
+                **options,
+            )
+        except ResumeRefused as error:
+            print(error, file=sys.stderr)
+            return 2
         result = results[experiment_id]
     print(result.table())
     if args.csv:
@@ -431,6 +436,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
     from repro.runner import ResultCache, run_experiments
+    from repro.runner.manifest import ResumeRefused
 
     if args.only:
         experiment_ids = [
@@ -468,23 +474,29 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         options["manifest_path"] = (
             cache.root / "manifests" / f"run-all-seed{args.seed}.json"
         )
-    _results, bench = run_experiments(
-        experiment_ids,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache=cache,
-        csv_dir=args.csv_dir,
-        bench_path=args.bench,
-        echo=print,
-        **options,
-    )
+    try:
+        _results, bench = run_experiments(
+            experiment_ids,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=cache,
+            csv_dir=args.csv_dir,
+            bench_path=args.bench,
+            echo=print,
+            **options,
+        )
+    except ResumeRefused as error:
+        print(error, file=sys.stderr)
+        return 2
+    entries = bench["experiments"].values()
     print(
         f"\n{bench['experiment_count']} experiments "
-        f"({bench['cached_count']} cached) in "
+        f"({sum(entry['shards_from_cache'] for entry in entries)} of "
+        f"{sum(entry['shards'] for entry in entries)} shards cached) in "
         f"{bench['total_wall_s']:.2f}s wall with --jobs {bench['jobs']} "
         f"({bench['backend']} backend); "
         f"serial-equivalent {bench['serial_equivalent_s']:.2f}s "
-        f"(speedup {bench['speedup_vs_serial']:.2f}x; computed-only "
+        f"(computed-only speedup "
         f"{bench['speedup_vs_serial_computed_only']:.2f}x)"
     )
     if args.bench:
@@ -857,9 +869,10 @@ def _add_runner_v2_flags(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="executor backend: inline, pool (default for --jobs > 1) "
-        "or workqueue (long-lived workers over shared queues, survives "
-        "worker loss); any backend produces byte-identical CSVs",
+        help="executor backend: inline (default for --jobs 1) or "
+        "workqueue (long-lived workers over shared queues, survives "
+        "worker loss; default for --jobs > 1); both produce "
+        "byte-identical CSVs",
     )
     parser.add_argument(
         "--resume",

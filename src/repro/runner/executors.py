@@ -4,16 +4,12 @@ The scheduler in :mod:`repro.runner.pool` is backend-agnostic: it
 submits :class:`ShardTask` work units, polls for :class:`Completion`
 events in whatever order shards actually finish, and asks the backend
 how much idle capacity it has (the signal that drives speculative
-re-execution of stragglers).  Three backends implement that contract:
+re-execution of stragglers).  Two backends implement that contract:
 
 ``inline``
     No processes at all.  Tasks execute one per ``poll`` call inside
-    the driver, in submission order — the reference path that every
-    other backend must match byte-for-byte.
-``pool``
-    ``concurrent.futures.ProcessPoolExecutor`` fan-out.  Fast and
-    simple, but a dead worker poisons the whole pool, so crash
-    injection and granular retry live in the work-queue backend.
+    the driver, in submission order — the reference path that the
+    work-queue backend must match byte-for-byte.
 ``workqueue``
     Long-lived ``multiprocessing`` worker processes consuming a shared
     task queue and reporting on a result queue — the single-machine
@@ -47,8 +43,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol, runtime_checkable
 
@@ -63,7 +57,6 @@ __all__ = [
     "Executor",
     "ShardExecutionError",
     "InlineExecutor",
-    "PoolExecutor",
     "WorkQueueExecutor",
     "make_executor",
 ]
@@ -71,8 +64,8 @@ __all__ = [
 #: ``(experiment_id, shard_index)`` — the identity of one work unit.
 TaskKey = tuple[str, int]
 
-#: Backend registry: name -> constructor.  ``make_executor`` resolves it.
-BACKENDS = ("inline", "pool", "workqueue")
+#: Backend names accepted by ``make_executor`` (and ``--backend``).
+BACKENDS = ("inline", "workqueue")
 
 
 class ShardExecutionError(RuntimeError):
@@ -105,7 +98,7 @@ class Completion:
     key: TaskKey
     attempt: int
     result: Optional[ShardResult] = None
-    #: The original exception (inline/pool) — re-raised by the driver.
+    #: The original exception (inline) — re-raised by the driver.
     error: Optional[BaseException] = None
     #: Remote traceback text (workqueue) when ``error`` crossed a
     #: process boundary as a string.
@@ -198,68 +191,6 @@ class InlineExecutor:
 
     def close(self) -> None:
         self._queue.clear()
-
-
-class PoolExecutor:
-    """``ProcessPoolExecutor`` fan-out with as-completed polling."""
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(1, workers)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        self._futures: dict[Future[ShardResult], tuple[TaskKey, int]] = {}
-
-    def submit(self, task: ShardTask, attempt: int = 0) -> None:
-        future = self._pool.submit(
-            run_shard_task, task.spec, task.seed, task.key[1], task.observe
-        )
-        self._futures[future] = (task.key, attempt)
-
-    def poll(self, timeout: float) -> list[Completion]:
-        if not self._futures:
-            return []
-        done, _pending = futures_wait(
-            self._futures, timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        completions: list[Completion] = []
-        for future in done:
-            key, attempt = self._futures.pop(future)
-            error = future.exception()
-            if error is not None:
-                completions.append(Completion(key, attempt, error=error))
-            else:
-                completions.append(
-                    Completion(key, attempt, result=future.result())
-                )
-        return completions
-
-    def running(self) -> set[TaskKey]:
-        return {
-            key
-            for future, (key, _attempt) in self._futures.items()
-            if future.running()
-        }
-
-    def queued(self) -> int:
-        return sum(
-            1
-            for future in self._futures
-            if not future.running() and not future.done()
-        )
-
-    def idle_capacity(self) -> int:
-        busy = sum(1 for future in self._futures if future.running())
-        return max(0, self.workers - busy)
-
-    def cancel_pending(self) -> None:
-        for future in self._futures:
-            future.cancel()
-
-    def close(self) -> None:
-        self.cancel_pending()
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._futures.clear()
 
 
 def _workqueue_worker(
@@ -485,7 +416,7 @@ def make_executor(
     """Construct the named backend.
 
     ``crash_plan`` is only meaningful on the work-queue backend — the
-    other backends cannot survive a worker loss, so asking for an
+    inline backend cannot survive a worker loss, so asking for an
     injected crash there is a caller error, not a silent no-op.
     """
     if backend not in BACKENDS:
@@ -499,6 +430,4 @@ def make_executor(
         )
     if backend == "inline":
         return InlineExecutor()
-    if backend == "pool":
-        return PoolExecutor(jobs)
     return WorkQueueExecutor(jobs, crash_plan=crash_plan)

@@ -32,10 +32,14 @@ from typing import Any, Optional, Sequence
 from repro.runner.cache import source_digest
 from repro.runner.registry import ExperimentSpec
 
-__all__ = ["RunManifest", "run_key"]
+__all__ = ["ResumeRefused", "RunManifest", "run_key"]
 
 #: Bump when the on-disk manifest layout changes.
 MANIFEST_VERSION = 1
+
+
+class ResumeRefused(ValueError):
+    """``resume=True`` named a manifest this run cannot continue."""
 
 
 def run_key(
@@ -81,9 +85,9 @@ class RunManifest:
         """Load-or-create the manifest at ``path`` for run ``key``.
 
         With ``resume=True`` an existing file must carry the same
-        ``run_key`` (same specs, seed and sources) or a ``ValueError``
-        explains the mismatch; without it, any existing file is
-        superseded by a fresh manifest.
+        ``run_key`` (same specs, seed and sources) or a
+        :class:`ResumeRefused` explains the mismatch; without it, any
+        existing file is superseded by a fresh manifest.
         """
         path = Path(path)
         manifest = cls(path, key, seed)
@@ -95,14 +99,14 @@ class RunManifest:
             on_disk = None
         if on_disk is None or on_disk.get("version") != MANIFEST_VERSION:
             if resume:
-                raise ValueError(
+                raise ResumeRefused(
                     f"cannot resume from {path}: unreadable or"
                     " incompatible manifest version"
                 )
             return manifest
         if on_disk.get("run_key") != key:
             if resume:
-                raise ValueError(
+                raise ResumeRefused(
                     f"cannot resume from {path}: manifest belongs to a"
                     " different run (specs, seed or package sources"
                     " changed since it was written)"
@@ -131,7 +135,6 @@ class RunManifest:
                 "speculate": speculate,
                 "computed": 0,
                 "shard_cache_hits": 0,
-                "experiment_cache_hits": 0,
                 "retried": 0,
                 "speculated": 0,
                 "speculation_wins": 0,
@@ -149,15 +152,6 @@ class RunManifest:
         self.data["experiments"].setdefault(
             experiment_id, {"shards": shards, "done": {}}
         )
-
-    def mark_experiment_cached(self, experiment_id: str) -> None:
-        """Whole-experiment cache hit: every shard is implicitly done."""
-        entry = self.data["experiments"].setdefault(
-            experiment_id, {"shards": 0, "done": {}}
-        )
-        entry["cached"] = True
-        self.session["experiment_cache_hits"] += 1
-        self.save()
 
     def mark_shard_done(
         self,

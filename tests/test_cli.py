@@ -152,6 +152,41 @@ class TestInputValidation:
         assert completed.returncode == 2
         assert "Traceback" not in completed.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "MAP-ISL"],
+            ["run-all", "--only", "MAP-ISL", "--bench", "bench.json"],
+        ],
+    )
+    def test_resume_against_another_runs_manifest_exits_2(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        resume = argv + ["--resume", "--manifest", "m.json"]
+        assert main(resume + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(resume + ["--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot resume from m.json: ")
+        assert "different run" in err
+        assert err.count("\n") == 1
+
+    def test_resume_with_trace_out_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["run", "MAP-ISL", "--resume", "--trace-out", "t.json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("--resume cannot be combined with")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "t.json").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_smallest_valid_values_still_run(self, capsys):
         assert main(
             ["run", "STUDY1", "--users", "1", "--seed", "0", "--jobs", "1",

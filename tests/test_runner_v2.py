@@ -30,7 +30,7 @@ from repro.runner import (
     shard_result_digest,
 )
 from repro.runner.executors import Completion, InlineExecutor
-from repro.runner.pool import _handle_completion
+from repro.runner.pool import _Run
 from repro.runner.sharding import ShardResult
 
 #: A fast skewed workload: one straggler, a tail of cheap shards.
@@ -109,7 +109,7 @@ class TestBackendParity:
         _data, bench = _run_csv(tmp_path, "dflt1", jobs=1)
         assert bench["backend"] == "inline"
         _data, bench = _run_csv(tmp_path, "dflt2", jobs=2)
-        assert bench["backend"] == "pool"
+        assert bench["backend"] == "workqueue"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -117,7 +117,7 @@ class TestBackendParity:
 
     def test_crash_plan_rejected_off_workqueue(self):
         with pytest.raises(ValueError, match="workqueue"):
-            make_executor("pool", 2, crash_plan={("FANOUT", 0): 1})
+            make_executor("inline", 2, crash_plan={("FANOUT", 0): 1})
 
 
 class TestErrorPropagation:
@@ -126,15 +126,6 @@ class TestErrorPropagation:
     def test_inline_raises_original_error(self):
         with pytest.raises(ValueError, match="non-negative"):
             run_experiments(["FANOUT"], overrides={"FANOUT": self.BAD})
-
-    def test_pool_raises_original_error(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            run_experiments(
-                ["FANOUT"],
-                jobs=2,
-                backend="pool",
-                overrides={"FANOUT": self.BAD},
-            )
 
     def test_workqueue_raises_with_remote_traceback(self):
         with pytest.raises(ShardExecutionError, match="non-negative"):
@@ -207,34 +198,29 @@ class TestSpeculation:
         key = ("FANOUT", 0)
         original = ShardResult("FANOUT", 0, ("real",), 0, 0.01)
         tampered = ShardResult("FANOUT", 0, ("fake",), 0, 0.01)
-        state: dict = dict(
-            now=1.0,
-            specs={"FANOUT": FAST_SPEC},
+        run = _Run(
+            {"FANOUT": FAST_SPEC},
             seed=0,
             cache=None,
             manifest=None,
-            executor=InlineExecutor(),
-            collected={key: original},
-            shard_sources={key: "computed"},
-            queue_waits={},
-            submit_times={},
-            digests={},
-            speculated={key},
-            speculation={"launched": 1, "wins": 0, "checked": 0},
-            remaining={"FANOUT": 0},
-            merge_experiment=lambda _id: None,
+            csv_root=None,
             say=lambda _line: None,
         )
+        run.collected[key] = original
+        run.computed.add(key)
+        run.speculated.add(key)
+        executor = InlineExecutor()
         with pytest.raises(RuntimeError, match="nondeterministic"):
-            _handle_completion(
-                Completion(key, attempt=1000, result=tampered), **state
+            run.handle_completion(
+                Completion(key, attempt=1000, result=tampered), 1.0, executor
             )
         # A bit-identical duplicate is counted, not fatal.
         duplicate = ShardResult("FANOUT", 0, ("real",), 0, 0.02)
-        _handle_completion(
-            Completion(key, attempt=1001, result=duplicate), **state
+        run.handle_completion(
+            Completion(key, attempt=1001, result=duplicate), 1.0, executor
         )
-        assert state["speculation"]["checked"] == 2
+        assert run.speculation["checked"] == 2
+        assert run.collected[key] is original
 
 
 class TestShardCacheAndResume:
@@ -283,9 +269,9 @@ class TestShardCacheAndResume:
         assert len(manifest["sessions"]) == 2
         first, second = manifest["sessions"]
         assert first["computed"] == 4
-        # The whole experiment was cached at merge, so the second
-        # session serves it at experiment granularity.
-        assert second["experiment_cache_hits"] == 1
+        # Every shard was cached as it completed, so the second session
+        # merges the experiment from its four shard entries.
+        assert second["shard_cache_hits"] == 4
         assert second["computed"] == 0
 
     def test_resume_refuses_a_different_runs_manifest(self, tmp_path):
@@ -330,9 +316,8 @@ class TestBenchReport:
         _data, cached = _run_csv(
             tmp_path, "hot", jobs=1, cache=ResultCache(cache_dir)
         )
-        # Everything served from cache: the headline speedup still
-        # credits the saved compute, the computed-only figure does not.
-        assert cached["speedup_vs_serial"] > 0
+        # Everything served from cache: nothing computed, no speedup.
+        assert cached["serial_equivalent_s"] > 0
         assert cached["speedup_vs_serial_computed_only"] == 0.0
 
     def test_bench_carries_scheduler_telemetry(self, tmp_path):
@@ -382,8 +367,12 @@ class TestCLIRunnerV2:
         assert "integers" in capsys.readouterr().err
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        assert main(["run", "MAP-ISL", "--backend", "sneakernet"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
+        # "pool" names the process-pool backend that no longer exists.
+        for backend in ("sneakernet", "pool"):
+            assert main(["run", "MAP-ISL", "--backend", backend]) == 2
+            err = capsys.readouterr().err
+            assert "unknown backend" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_run_all_resume_conflicts_with_no_cache(self, capsys):
         code = main(["run-all", "--only", "FIG4", "--resume", "--no-cache"])
@@ -453,6 +442,6 @@ class TestLPTOrdering:
             overrides={"FANOUT": cheap_first},
             csv_dir=csv_dir,
             jobs=2,
-            backend="pool",
+            backend="workqueue",
         )
         assert (csv_dir / "FANOUT.csv").read_bytes() == reference
